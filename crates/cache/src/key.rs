@@ -1,17 +1,30 @@
 //! The content address of one experiment.
 
-use cedar_obs::json::fnv1a;
+use std::fmt::{self, Write as _};
 
-/// FNV-1a with a different offset basis, giving a second independent
-/// 64-bit view of the same bytes for the 128-bit key.
-fn fnv1a_alt(bytes: &[u8]) -> u64 {
-    // The standard FNV prime with an arbitrary fixed alternate basis.
-    let mut h: u64 = 0x6c62_272e_07bb_0142;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+use cedar_obs::json::{FNV_BASIS, FNV_PRIME};
+
+/// The second lane's offset basis: the standard FNV prime with an
+/// arbitrary fixed alternate basis gives a second independent 64-bit
+/// view of the same bytes for the 128-bit key.
+const ALT_BASIS: u64 = 0x6c62_272e_07bb_0142;
+
+/// Both FNV-1a lanes of a [`RunKey`], fed one byte stream. As a
+/// [`fmt::Write`] sink it hashes canonical text while it is being
+/// formatted, so the text is never materialized.
+struct Lanes {
+    hi: u64,
+    lo: u64,
+}
+
+impl fmt::Write for Lanes {
+    fn write_str(&mut self, s: &str) -> fmt::Result {
+        for &b in s.as_bytes() {
+            self.hi = (self.hi ^ u64::from(b)).wrapping_mul(FNV_PRIME);
+            self.lo = (self.lo ^ u64::from(b)).wrapping_mul(FNV_PRIME);
+        }
+        Ok(())
     }
-    h
 }
 
 /// The canonical semantic fingerprint of one `(application, machine
@@ -33,10 +46,23 @@ pub struct RunKey {
 impl RunKey {
     /// Keys `canonical`, mixing in the model version.
     pub fn new(canonical: &str) -> RunKey {
-        let salted = format!("model={};{canonical}", crate::MODEL_VERSION);
+        RunKey::from_fmt(format_args!("{canonical}"))
+    }
+
+    /// Keys the canonical text `canonical` formats to, hashing it in
+    /// one streaming pass as it is formatted. Equal to
+    /// `RunKey::new(&canonical.to_string())`, without the `String`.
+    pub fn from_fmt(canonical: fmt::Arguments<'_>) -> RunKey {
+        let mut lanes = Lanes {
+            hi: FNV_BASIS,
+            lo: ALT_BASIS,
+        };
+        // `Lanes` never fails a write, so formatting into it cannot
+        // fail either.
+        let _ = write!(lanes, "model={};{canonical}", crate::MODEL_VERSION);
         RunKey {
-            hi: fnv1a(salted.as_bytes()),
-            lo: fnv1a_alt(salted.as_bytes()),
+            hi: lanes.hi,
+            lo: lanes.lo,
         }
     }
 
@@ -70,6 +96,30 @@ mod tests {
         assert_ne!(a, c);
         assert_eq!(a.hex(), b.hex());
         assert_eq!(a.hex().len(), 32);
+    }
+
+    #[test]
+    fn keys_are_pinned_across_releases() {
+        // The on-disk cache and every reply's `key` field are addressed
+        // by these bits: a hashing change that moves them orphans every
+        // stored entry. Only a MODEL_VERSION bump may move (and re-pin)
+        // them.
+        for (canonical, hex) in [
+            ("", "743facb3790b56e5c313b37ffab70daa"),
+            ("app=FLO52;config=P32", "5f4ef5a1239cc7bc0dabb7d67fd027a7"),
+            ("seed=0", "5579d25375977f49aea01bf2033db676"),
+        ] {
+            assert_eq!(RunKey::new(canonical).hex(), hex, "{canonical:?}");
+        }
+    }
+
+    #[test]
+    fn formatted_keys_equal_keys_of_the_formatted_text() {
+        let (app, p) = ("MDG", 16);
+        assert_eq!(
+            RunKey::from_fmt(format_args!("app={app:?};config=P{p}")),
+            RunKey::new(&format!("app={app:?};config=P{p}"))
+        );
     }
 
     #[test]

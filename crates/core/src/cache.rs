@@ -24,8 +24,10 @@ use crate::result::RunResult;
 use crate::run::execute;
 
 /// The content address of one `(application, configuration)` experiment.
+/// The canonical text (~2.5 KB for a Perfect app) is hashed as it is
+/// formatted, never built as a `String`.
 pub fn run_key(app: &AppSpec, cfg: &SimConfig) -> RunKey {
-    RunKey::new(&format!("app={app:?};cfg={cfg:?}"))
+    RunKey::from_fmt(format_args!("app={app:?};cfg={cfg:?}"))
 }
 
 /// Projects a completed run into its cacheable mirror. The cedarhpm
@@ -255,6 +257,24 @@ mod tests {
         );
         let other = synthetic::uniform_xdoall(1, 2, 4, 101, 8);
         assert_ne!(k, run_key(&other, &cfg), "workload changes the key");
+    }
+
+    #[test]
+    fn keys_of_real_experiments_are_pinned() {
+        // Stored cache entries and reply `key` fields are addressed by
+        // these bits; a keying change that moves them orphans the whole
+        // cache. Only a MODEL_VERSION bump may move (and re-pin) them.
+        let mdg = cedar_apps::mdg::spec();
+        let cfg = SimConfig::cedar(Configuration::P16);
+        assert_eq!(
+            run_key(&mdg, &cfg).hex(),
+            "b3c1fb645ab46098d5bfaade7139e7e1"
+        );
+        let app = synthetic::uniform_xdoall(1, 2, 4, 100, 8);
+        assert_eq!(
+            run_key(&app, &SimConfig::cedar(Configuration::P4)).hex(),
+            "724eb5e7c28ab1080b4d64910f125295"
+        );
     }
 
     #[test]

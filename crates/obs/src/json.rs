@@ -129,14 +129,26 @@ pub fn str_array<'a, I: IntoIterator<Item = &'a str>>(items: I) -> String {
     array(items.into_iter().map(escape))
 }
 
+/// The 64-bit FNV-1a offset basis: the state [`fnv1a`] starts from.
+pub const FNV_BASIS: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// The 64-bit FNV prime.
+pub const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
+
 /// FNV-1a 64-bit hash — the manifest's configuration fingerprint. Stable
 /// across platforms and runs: the same bytes always fingerprint the
 /// same.
 pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    fnv1a_from(FNV_BASIS, bytes)
+}
+
+/// Continues an FNV-1a hash from state `h` over `bytes`, so a stream of
+/// pieces hashes without first being joined:
+/// `fnv1a_from(fnv1a(a), b) == fnv1a(a ++ b)`.
+pub fn fnv1a_from(mut h: u64, bytes: &[u8]) -> u64 {
     for &b in bytes {
         h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+        h = h.wrapping_mul(FNV_PRIME);
     }
     h
 }
@@ -468,6 +480,12 @@ mod tests {
         assert_eq!(fnv1a(b""), 0xcbf2_9ce4_8422_2325);
         assert_ne!(fnv1a(b"sched=heap"), fnv1a(b"sched=calendar"));
         assert_eq!(fnv1a(b"x"), fnv1a(b"x"));
+    }
+
+    #[test]
+    fn fnv1a_streams_piecewise() {
+        assert_eq!(fnv1a_from(fnv1a(b"sched="), b"heap"), fnv1a(b"sched=heap"));
+        assert_eq!(fnv1a_from(FNV_BASIS, b""), fnv1a(b""));
     }
 
     #[test]

@@ -11,6 +11,18 @@
 //! requests-per-connection and idle time, and still forces
 //! `Connection: close` on every error and shed path.
 //!
+//! Every reply leaves in **one write on a `TCP_NODELAY` socket**
+//! ([`write_response`] serializes head and body into one buffer; the
+//! accept loop disables Nagle's algorithm on every connection). With
+//! Nagle on, a reply written in two pieces holds its second piece until
+//! the client acknowledges the first, and a keep-alive client
+//! acknowledges with its *next* request or after the delayed-ACK timer:
+//! a warm reply then takes the client's request gap (tens of
+//! milliseconds) instead of its service time (tens of microseconds).
+//! A single write alone is not enough — a pipelining client can have
+//! reply *N* unacknowledged when reply *N+1* is written, and Nagle
+//! would hold that one too.
+//!
 //! Because a pipelined client may land bytes of request *N+1* in the
 //! buffer while request *N* is being parsed, [`read_request`] takes the
 //! caller's long-lived [`BufRead`] reader rather than wrapping the raw
@@ -163,6 +175,10 @@ pub fn reason(status: u16) -> &'static str {
 /// `Connection:` header — the caller decides persistence (error and
 /// shed paths always pass `false`). `extra_headers` lines are emitted
 /// verbatim (no trailing CRLF in the input).
+///
+/// Head and body are serialized into one buffer and handed to the
+/// stream in a single `write_all`, so the reply leaves as one segment
+/// (see the module docs for why a split write stalls).
 pub fn write_response(
     stream: &mut impl Write,
     status: u16,
@@ -172,18 +188,20 @@ pub fn write_response(
     body: &[u8],
 ) -> std::io::Result<()> {
     let connection = if keep_alive { "keep-alive" } else { "close" };
-    let mut head = format!(
+    let mut out = Vec::with_capacity(128 + body.len());
+    write!(
+        out,
         "HTTP/1.1 {status} {}\r\nContent-Type: {content_type}\r\nContent-Length: {}\r\nConnection: {connection}\r\n",
         reason(status),
         body.len()
-    );
+    )?;
     for h in extra_headers {
-        head.push_str(h);
-        head.push_str("\r\n");
+        out.extend_from_slice(h.as_bytes());
+        out.extend_from_slice(b"\r\n");
     }
-    head.push_str("\r\n");
-    stream.write_all(head.as_bytes())?;
-    stream.write_all(body)?;
+    out.extend_from_slice(b"\r\n");
+    out.extend_from_slice(body);
+    stream.write_all(&out)?;
     stream.flush()
 }
 
@@ -283,6 +301,47 @@ mod tests {
         );
         let err = read_request(&mut raw.as_bytes()).unwrap_err();
         assert!(err.to_string().contains("exceeds"), "{err}");
+    }
+
+    /// A sink that counts the `write` calls it receives.
+    #[derive(Default)]
+    struct CountingWriter {
+        writes: usize,
+        bytes: Vec<u8>,
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.writes += 1;
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn a_response_is_one_write() {
+        // Head and body split over two writes is the Nagle stall: the
+        // body would wait for the client to acknowledge the head.
+        let mut sink = CountingWriter::default();
+        write_response(
+            &mut sink,
+            503,
+            "application/json",
+            &["Retry-After: 1"],
+            false,
+            b"{\"error\":{}}",
+        )
+        .unwrap();
+        assert_eq!(sink.writes, 1);
+        assert_eq!(
+            String::from_utf8(sink.bytes).unwrap(),
+            "HTTP/1.1 503 Service Unavailable\r\nContent-Type: application/json\r\n\
+             Content-Length: 12\r\nConnection: close\r\nRetry-After: 1\r\n\r\n{\"error\":{}}"
+        );
     }
 
     #[test]

@@ -24,21 +24,25 @@ use crate::spec::CampaignSpec;
 /// only nondeterministic bytes in [`CachedRun::encode`]
 /// (`crates/cache/src/record.rs`) — everything else is measurement, so
 /// the same spec fingerprints identically whether it ran here, in the
-/// library, or replayed from the cache.
+/// library, or replayed from the cache. The kept lines are hashed as
+/// they stream past, `\n`-joined (no trailing separator).
 pub fn measurement_fingerprint(result: &RunResult) -> u64 {
-    let deterministic: String = to_cached(result)
-        .encode()
-        .lines()
-        .filter(|l| {
-            let field = l.split_whitespace().next().unwrap_or("");
-            !matches!(
-                field,
-                "stats.setup_ns" | "stats.run_ns" | "stats.breakdown_ns"
-            )
-        })
-        .collect::<Vec<_>>()
-        .join("\n");
-    json::fnv1a(deterministic.as_bytes())
+    let encoded = to_cached(result).encode();
+    let kept = encoded.lines().filter(|l| {
+        let field = l.split_whitespace().next().unwrap_or("");
+        !matches!(
+            field,
+            "stats.setup_ns" | "stats.run_ns" | "stats.breakdown_ns"
+        )
+    });
+    let mut h = json::FNV_BASIS;
+    for (i, line) in kept.enumerate() {
+        if i > 0 {
+            h = json::fnv1a_from(h, b"\n");
+        }
+        h = json::fnv1a_from(h, line.as_bytes());
+    }
+    h
 }
 
 /// Renders the reply body for one executed campaign.

@@ -67,8 +67,10 @@ struct Shared {
     opts: ServeOptions,
 }
 
-/// A running campaign service. Dropping the handle without calling
-/// [`Server::join`] detaches the threads (the test suite joins).
+/// A running campaign service. Dropping the handle neither shuts the
+/// service down nor joins it: the threads keep serving until
+/// [`Server::shutdown`] is called, and only [`Server::join`] waits for
+/// them.
 pub struct Server {
     shared: Arc<Shared>,
     local_addr: SocketAddr,
@@ -183,12 +185,15 @@ fn accept_loop(listener: TcpListener, shared: &Shared) {
                 if shared.shutdown.load(Ordering::SeqCst) {
                     break;
                 }
-                // Normalize the accepted socket to blocking. On the
-                // rare platform/fd-pressure failure the socket's mode
-                // is unknown, and handing a maybe-nonblocking stream
-                // to a worker turns into spurious `WouldBlock` parse
-                // errors — reject it up front with a counted 500.
-                if stream.set_nonblocking(false).is_err() {
+                // Normalize the accepted socket to blocking, and turn
+                // Nagle's algorithm off so every reply is sent the
+                // moment it is written (see `crate::http`). On the rare
+                // platform/fd-pressure failure the socket's mode is
+                // unknown, and handing a maybe-nonblocking stream to a
+                // worker turns into spurious `WouldBlock` parse errors,
+                // a Nagle-on one into replies held for the client's
+                // next ACK — reject it up front with a counted 500.
+                if stream.set_nonblocking(false).is_err() || stream.set_nodelay(true).is_err() {
                     reject_unconfigurable(stream, shared);
                     continue;
                 }
@@ -221,7 +226,9 @@ fn accept_loop(listener: TcpListener, shared: &Shared) {
 /// a typed `500` so the client sees an error rather than a silent
 /// close, and counting it so the operator sees it in `/metrics`.
 fn reject_unconfigurable(mut stream: TcpStream, shared: &Shared) {
-    let err = CedarError::Internal("accepted socket could not be set to blocking".to_string());
+    let err = CedarError::Internal(
+        "accepted socket could not be set to blocking with TCP_NODELAY".to_string(),
+    );
     let _ = http::write_response(
         &mut stream,
         err.http_status(),

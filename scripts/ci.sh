@@ -1,7 +1,8 @@
 #!/usr/bin/env sh
-# CI entry point: the offline-build guarantee, the full test suite, a
-# one-iteration smoke pass of the bench harness, and the run-cache
-# soundness check (warm campaign = cold campaign, only faster).
+# CI entry point: the offline-build guarantee, the paper's reproduction
+# bands, the full test suite, a one-iteration smoke pass of the bench
+# harness, and the run-cache soundness check (warm campaign = cold
+# campaign, only faster).
 #
 # The workspace has zero external dependencies, so every step runs with
 # --offline and must succeed with no registry or network access. The
@@ -56,6 +57,13 @@ fi
 
 echo "==> cargo build --release --offline"
 cargo build --release --offline --workspace
+
+# The paper as a hard gate: the full-scale campaign's reproduction
+# bands (tests/paper_bands.rs). They are #[ignore]d in the default
+# debug run because the campaign takes minutes there; in release the
+# whole suite takes a few seconds.
+echo "==> paper bands (full-scale campaign, release, --ignored)"
+cargo test --release --offline --test paper_bands -- --ignored
 
 echo "==> cargo test -q --offline (workspace, debug)"
 cargo test -q --offline --workspace

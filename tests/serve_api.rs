@@ -408,6 +408,48 @@ fn sequential_keepalive_requests_share_one_connection() {
 }
 
 #[test]
+fn warm_keepalive_replies_arrive_without_waiting_for_the_next_request() {
+    // A reply split over two segments on a Nagle-on socket holds its
+    // second segment until the client acknowledges the first. A client
+    // that sends its next request within the delayed-ACK window of the
+    // last reply (40 ms on Linux) is treated as interactive: its ACK is
+    // delayed to ride on that next request, and a client waiting for
+    // the reply first gets it only when the ACK timer fires, ~40 ms
+    // later. Spaced 20 ms apart, each warm reply must instead arrive in
+    // a few milliseconds.
+    let (server, addr) = start_server(4, 1);
+    let one = keepalive_post(SPEC);
+    let mut stream = TcpStream::connect(&addr).expect("connect");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(60)))
+        .unwrap();
+    stream.set_nodelay(true).unwrap();
+    let mut reader = BufReader::new(stream.try_clone().expect("clone"));
+
+    // The cold run fills the cache; it is not timed.
+    stream.write_all(one.as_bytes()).expect("send cold");
+    let (status, _, cold) = read_framed(&mut reader);
+    assert_eq!(status, 200, "{cold}");
+
+    let mut latencies = Vec::new();
+    for _ in 0..5 {
+        std::thread::sleep(Duration::from_millis(20));
+        let sent = Instant::now();
+        stream.write_all(one.as_bytes()).expect("send warm");
+        let (status, _, body) = read_framed(&mut reader);
+        latencies.push(sent.elapsed());
+        assert_eq!(status, 200, "{body}");
+        assert_eq!(body, cold, "warm reply must be byte-identical");
+    }
+    assert!(
+        latencies.iter().all(|l| *l < Duration::from_millis(30)),
+        "a warm reply waited for the client's next ACK: {latencies:?}"
+    );
+    server.shutdown();
+    server.join();
+}
+
+#[test]
 fn idle_keepalive_connections_are_closed_cleanly() {
     let (server, addr) = start_server_with(
         ServeOptions::default()
